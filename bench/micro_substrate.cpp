@@ -1,12 +1,16 @@
-// google-benchmark microbenchmarks of the substrates: meter sampling, the
-// simulated filesystem's write path, the page cache, the cluster
-// simulator's pricing loop, and mpisim collectives.
+// google-benchmark microbenchmarks of the substrates: meter sampling over
+// simulated Fire timelines, the simulated filesystem's write path, the page
+// cache, the cluster simulator's pricing loop, and mpisim collectives.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "fs/filesystem.h"
 #include "kernels/hpl_model.h"
+#include "kernels/iozone_model.h"
+#include "kernels/stream_model.h"
 #include "mpisim/runtime.h"
 #include "power/meter.h"
 #include "sim/catalog.h"
@@ -16,20 +20,48 @@ namespace {
 
 using namespace tgi;
 
+/// The suite on Fire over a process grid: the multi-segment simulated
+/// timelines the production meter samples in every sweep.
+std::vector<sim::SimulatedRun> fire_suite_runs() {
+  const sim::ClusterSpec fire = sim::fire_cluster();
+  const sim::ExecutionSimulator simulator(fire);
+  std::vector<sim::SimulatedRun> runs;
+  for (const std::size_t nodes : {1U, 2U, 4U, 8U}) {
+    kernels::HplModelParams hpl;
+    hpl.processes = 16 * nodes;
+    runs.push_back(simulator.run(kernels::make_hpl_workload(fire, hpl)));
+    kernels::StreamModelParams stream;
+    stream.processes = 16 * nodes;
+    runs.push_back(simulator.run(kernels::make_stream_workload(fire, stream)));
+    kernels::IozoneModelParams iozone;
+    iozone.nodes = nodes;
+    runs.push_back(simulator.run(kernels::make_iozone_workload(fire, iozone)));
+  }
+  return runs;
+}
+
 void BM_WattsUpMeasure(benchmark::State& state) {
-  const auto duration = static_cast<double>(state.range(0));
+  const std::vector<sim::SimulatedRun> runs = fire_suite_runs();
   power::WattsUpMeter meter;
-  const power::PowerSource source = [](util::Seconds t) {
-    return util::watts(1000.0 + 50.0 * (t.value() - 10.0 > 0 ? 1.0 : 0.0));
-  };
+  std::int64_t samples = 0;
+  for (const auto& run : runs) {
+    samples += static_cast<std::int64_t>(std::ceil(
+                   run.elapsed.value() /
+                   meter.config().sample_interval.value())) +
+               1;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        meter.measure(source, util::seconds(duration)));
+    for (const auto& run : runs) {
+      benchmark::DoNotOptimize(meter.measure(run.timeline.steps(),
+                                             run.elapsed));
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));  // samples at 1 Hz
+                          samples);
+  state.SetLabel(std::to_string(runs.size()) + " Fire suite timelines, " +
+                 std::to_string(samples) + " samples");
 }
-BENCHMARK(BM_WattsUpMeasure)->Arg(60)->Arg(600)->Arg(3600);
+BENCHMARK(BM_WattsUpMeasure);
 
 void BM_FsSequentialWrite(benchmark::State& state) {
   const auto bytes = static_cast<std::uint64_t>(state.range(0));

@@ -28,7 +28,7 @@ int main() {
 
   power::WattsUpMeter meter;
   const power::MeterReading reading =
-      meter.measure(run.timeline.as_source(), run.elapsed);
+      meter.measure(run.timeline.steps(), run.elapsed);
 
   std::cout << "HPL on Fire, 128 cores: " << util::format(run.elapsed)
             << " behind the meter\n";

@@ -250,7 +250,7 @@ FaultyMeter::FaultyMeter(power::PowerMeter& inner, FaultPlan plan,
                          std::uint64_t measurement_offset)
     : inner_(inner), plan_(std::move(plan)), counter_(measurement_offset) {}
 
-power::MeterReading FaultyMeter::measure(const power::PowerSource& source,
+power::MeterReading FaultyMeter::measure(const power::PowerSteps& source,
                                          util::Seconds duration) {
   power::MeterReading reading = inner_.measure(source, duration);
   const std::uint64_t index = counter_++;

@@ -145,7 +145,7 @@ class FaultyMeter final : public power::PowerMeter {
   FaultyMeter(power::PowerMeter& inner, FaultPlan plan,
               std::uint64_t measurement_offset = 0);
 
-  [[nodiscard]] power::MeterReading measure(const power::PowerSource& source,
+  [[nodiscard]] power::MeterReading measure(const power::PowerSteps& source,
                                             util::Seconds duration) override;
   [[nodiscard]] std::string name() const override;
 

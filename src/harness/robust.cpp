@@ -103,7 +103,7 @@ ValidatingMeter::ValidatingMeter(power::PowerMeter& inner, RobustConfig config)
   config_.validate();
 }
 
-power::MeterReading ValidatingMeter::measure(const power::PowerSource& source,
+power::MeterReading ValidatingMeter::measure(const power::PowerSteps& source,
                                              util::Seconds duration) {
   power::MeterReading reading = inner_.measure(source, duration);
   if (config_.validate_readings) {

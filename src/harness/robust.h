@@ -82,7 +82,7 @@ class ValidatingMeter final : public power::PowerMeter {
   /// `inner` must outlive the decorator.
   ValidatingMeter(power::PowerMeter& inner, RobustConfig config);
 
-  [[nodiscard]] power::MeterReading measure(const power::PowerSource& source,
+  [[nodiscard]] power::MeterReading measure(const power::PowerSteps& source,
                                             util::Seconds duration) override;
   [[nodiscard]] std::string name() const override;
 

@@ -41,7 +41,7 @@ core::BenchmarkMeasurement SuiteRunner::measure(const sim::Workload& workload,
     recorder_->metrics().add("measured_seconds", run.elapsed.value());
   }
   const power::MeterReading reading =
-      meter_.measure(run.timeline.as_source(), run.elapsed);
+      meter_.measure(run.timeline.steps(), run.elapsed);
   TGI_LOG_DEBUG(workload.benchmark
                 << ": " << performance << " " << unit << " over "
                 << run.elapsed.value() << " s at "

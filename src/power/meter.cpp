@@ -30,7 +30,7 @@ WattsUpMeter::WattsUpMeter(WattsUpConfig config)
               "dropout rate must be in [0, 0.5)");
 }
 
-MeterReading WattsUpMeter::measure(const PowerSource& source,
+MeterReading WattsUpMeter::measure(const PowerSteps& source,
                                    util::Seconds duration) {
   TGI_REQUIRE(duration.value() > 0.0, "measurement duration must be > 0");
   // Each `measure` call is a fresh plug-in of the instrument: a new fixed
@@ -41,29 +41,28 @@ MeterReading WattsUpMeter::measure(const PowerSource& source,
   const double gain =
       1.0 + rng.uniform(-config_.accuracy_pct, config_.accuracy_pct) / 100.0;
 
-  PowerTrace trace;
   const double dt = config_.sample_interval.value();
-  const auto steps =
-      static_cast<std::size_t>(std::ceil(duration.value() / dt));
+  const double end = duration.value();
+  const double q = config_.resolution.value();
+  const auto steps = static_cast<std::size_t>(std::ceil(end / dt));
+  PowerTrace trace;
+  trace.reserve(steps + 1);
+  StepCursor power(source);
   for (std::size_t i = 0; i <= steps; ++i) {
-    const util::Seconds t(std::min(static_cast<double>(i) * dt,
-                                   duration.value()));
+    const util::Seconds t(std::min(static_cast<double>(i) * dt, end));
     // Serial-link dropouts lose interior samples; the first and last are
     // always kept so the reading spans the run.
     if (config_.dropout_rate > 0.0 && i != 0 && i != steps &&
         rng.uniform() < config_.dropout_rate) {
       continue;
     }
-    const double true_watts = source(t).value();
+    const double true_watts = power.at(t).value();
     TGI_CHECK(true_watts >= 0.0, "source returned negative power");
     double observed = true_watts * gain;
     if (config_.noise_pct > 0.0) {
       observed *= 1.0 + rng.normal(0.0, config_.noise_pct / 100.0);
     }
-    if (config_.resolution.value() > 0.0) {
-      const double q = config_.resolution.value();
-      observed = std::round(observed / q) * q;
-    }
+    if (q > 0.0) observed = std::round(observed / q) * q;
     trace.add({t, util::Watts(std::max(observed, 0.0))});
   }
   return summarize(std::move(trace));
@@ -77,17 +76,18 @@ ModelMeter::ModelMeter(util::Seconds sample_interval)
               "sample interval must be positive");
 }
 
-MeterReading ModelMeter::measure(const PowerSource& source,
+MeterReading ModelMeter::measure(const PowerSteps& source,
                                  util::Seconds duration) {
   TGI_REQUIRE(duration.value() > 0.0, "measurement duration must be > 0");
-  PowerTrace trace;
   const double dt = sample_interval_.value();
-  const auto steps =
-      static_cast<std::size_t>(std::ceil(duration.value() / dt));
+  const double end = duration.value();
+  const auto steps = static_cast<std::size_t>(std::ceil(end / dt));
+  PowerTrace trace;
+  trace.reserve(steps + 1);
+  StepCursor power(source);
   for (std::size_t i = 0; i <= steps; ++i) {
-    const util::Seconds t(std::min(static_cast<double>(i) * dt,
-                                   duration.value()));
-    trace.add({t, source(t)});
+    const util::Seconds t(std::min(static_cast<double>(i) * dt, end));
+    trace.add({t, power.at(t)});
   }
   return summarize(std::move(trace));
 }

@@ -1,4 +1,4 @@
-// Power meters: instruments that observe a PowerSource over a run.
+// Power meters: instruments that observe a power signal over a run.
 //
 // The paper measures energy with a Watts Up? PRO ES plug meter between the
 // outlet and the system (Figure 1). WattsUpMeter reproduces that
@@ -26,14 +26,14 @@ struct MeterReading {
   util::Watts average_power{0.0};
 };
 
-/// Abstract instrument that watches a power source for a fixed duration.
+/// Abstract instrument that watches a power signal for a fixed duration.
 class PowerMeter {
  public:
   virtual ~PowerMeter() = default;
 
   /// Observes `source` over [0, duration] and reports the measurement.
   /// Precondition: duration > 0.
-  [[nodiscard]] virtual MeterReading measure(const PowerSource& source,
+  [[nodiscard]] virtual MeterReading measure(const PowerSteps& source,
                                              util::Seconds duration) = 0;
 
   /// Human-readable instrument name for reports.
@@ -71,7 +71,7 @@ class WattsUpMeter final : public PowerMeter {
  public:
   explicit WattsUpMeter(WattsUpConfig config = {});
 
-  [[nodiscard]] MeterReading measure(const PowerSource& source,
+  [[nodiscard]] MeterReading measure(const PowerSteps& source,
                                      util::Seconds duration) override;
   [[nodiscard]] std::string name() const override;
 
@@ -89,7 +89,7 @@ class ModelMeter final : public PowerMeter {
   /// `sample_interval` controls integration resolution only.
   explicit ModelMeter(util::Seconds sample_interval = util::Seconds(0.05));
 
-  [[nodiscard]] MeterReading measure(const PowerSource& source,
+  [[nodiscard]] MeterReading measure(const PowerSteps& source,
                                      util::Seconds duration) override;
   [[nodiscard]] std::string name() const override;
 
@@ -97,7 +97,8 @@ class ModelMeter final : public PowerMeter {
   util::Seconds sample_interval_;
 };
 
-/// Convenience: build the reading summary from a finished trace.
+/// Convenience: build the reading summary from a finished trace (O(1): the
+/// trace keeps its energy integral as it grows).
 [[nodiscard]] MeterReading summarize(PowerTrace trace);
 
 }  // namespace tgi::power

@@ -6,14 +6,15 @@
 
 namespace tgi::power {
 
-void PowerTrace::add(PowerSample sample) {
-  TGI_REQUIRE(sample.watts.value() >= 0.0,
-              "power sample must be non-negative");
-  if (!samples_.empty()) {
-    TGI_REQUIRE(sample.t >= samples_.back().t,
-                "sample timestamps must be non-decreasing");
-  }
-  samples_.push_back(sample);
+void PowerTrace::reject_negative_power() {
+  util::detail::throw_precondition("sample.watts.value() >= 0.0", __FILE__,
+                                   __LINE__,
+                                   "power sample must be non-negative");
+}
+
+void PowerTrace::reject_time_travel() {
+  util::detail::throw_precondition("sample.t >= prev.t", __FILE__, __LINE__,
+                                   "sample timestamps must be non-decreasing");
 }
 
 util::Seconds PowerTrace::duration() const {
@@ -23,14 +24,7 @@ util::Seconds PowerTrace::duration() const {
 
 util::Joules PowerTrace::energy() const {
   TGI_REQUIRE(samples_.size() >= 2, "energy needs >= 2 samples");
-  util::Joules total{0.0};
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    const util::Seconds dt = samples_[i].t - samples_[i - 1].t;
-    const util::Watts avg =
-        (samples_[i].watts + samples_[i - 1].watts) * 0.5;
-    total += avg * dt;
-  }
-  return total;
+  return energy_;
 }
 
 util::Watts PowerTrace::average_power() const {

@@ -1,6 +1,7 @@
 // Time-stamped power traces and energy integration.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "util/units.h"
@@ -18,13 +19,26 @@ struct PowerSample {
 /// Energy is the trapezoidal integral of the samples — the same numeric
 /// integration a Watts Up? meter performs internally — and average power is
 /// energy divided by the spanned duration, i.e. *time-weighted*, so uneven
-/// sampling does not bias it.
+/// sampling does not bias it. The integral is accumulated as samples are
+/// appended, interval by interval in sample order, so reading it is O(1).
 class PowerTrace {
  public:
   PowerTrace() = default;
 
-  /// Appends a sample; time stamps must be non-decreasing.
-  void add(PowerSample sample);
+  /// Reserves room for `samples` samples (meters know their count upfront).
+  void reserve(std::size_t samples) { samples_.reserve(samples); }
+
+  /// Appends a sample; the power must be non-negative and time stamps
+  /// non-decreasing.
+  void add(PowerSample sample) {
+    if (!(sample.watts.value() >= 0.0)) reject_negative_power();
+    if (!samples_.empty()) {
+      const PowerSample& prev = samples_.back();
+      if (!(sample.t >= prev.t)) reject_time_travel();
+      energy_ += (sample.watts + prev.watts) * 0.5 * (sample.t - prev.t);
+    }
+    samples_.push_back(sample);
+  }
 
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
@@ -47,7 +61,11 @@ class PowerTrace {
   [[nodiscard]] util::Watts min_power() const;
 
  private:
+  [[noreturn]] static void reject_negative_power();
+  [[noreturn]] static void reject_time_travel();
+
   std::vector<PowerSample> samples_;
+  util::Joules energy_{0.0};
 };
 
 }  // namespace tgi::power

@@ -10,6 +10,7 @@
 
 #include "power/meter.h"
 #include "power/trace.h"
+#include "support/step_signal.h"
 #include "util/error.h"
 
 namespace tgi::harness {
@@ -302,9 +303,10 @@ TEST(FaultyMeter, DisabledPlanIsABitIdenticalPassthrough) {
   power::WattsUpMeter plain(cfg);
   power::WattsUpMeter inner(cfg);
   FaultyMeter faulty(inner, FaultPlan{});
-  const power::PowerSource source = [](util::Seconds t) {
-    return util::watts(300.0 + 0.5 * t.value());
-  };
+  // Linear ramp as a default (1 Hz) WattsUp meter samples it over 120 s.
+  const test_support::StepSignal ramp = test_support::sampled_steps(
+      [](double t) { return 300.0 + 0.5 * t; }, 1.0, 120.0);
+  const power::PowerSteps source = ramp.view();
   for (int i = 0; i < 3; ++i) {
     const auto expected = plain.measure(source, util::seconds(120.0));
     const auto got = faulty.measure(source, util::seconds(120.0));
@@ -326,9 +328,9 @@ TEST(FaultyMeter, OffsetReplaysTheSharedDecoratorStreams) {
   const FaultPlan plan(spec);
   // Quadratic ramp: the spike window's position changes the energy, so a
   // mismatched fault index cannot hide.
-  const power::PowerSource source = [](util::Seconds t) {
-    return util::watts(200.0 + 0.05 * t.value() * t.value());
-  };
+  const test_support::StepSignal quadratic = test_support::sampled_steps(
+      [](double t) { return 200.0 + 0.05 * t * t; }, 1.0, 60.0);
+  const power::PowerSteps source = quadratic.view();
   power::ModelMeter inner(util::seconds(1.0));
   FaultyMeter shared(inner, plan);
   std::vector<double> energies;
@@ -350,9 +352,8 @@ TEST(FaultyMeter, OffsetReplaysTheSharedDecoratorStreams) {
 TEST(FaultyMeter, ArmedTruncationIsOneShot) {
   power::ModelMeter inner(util::seconds(1.0));
   FaultyMeter faulty(inner, FaultPlan{});
-  const power::PowerSource source = [](util::Seconds) {
-    return util::watts(400.0);
-  };
+  const power::PowerSteps source =
+      power::PowerSteps::constant(util::watts(400.0));
   faulty.arm_truncation(0.35);
   const auto cut = faulty.measure(source, util::seconds(100.0));
   EXPECT_LT(cut.duration.value(), 0.66 * 100.0);
@@ -368,9 +369,8 @@ TEST(FaultyMeter, DisarmClearsAStaleArmedTruncation) {
   // used to corrupt the next attempt's reading).
   power::ModelMeter inner(util::seconds(1.0));
   FaultyMeter faulty(inner, FaultPlan{});
-  const power::PowerSource source = [](util::Seconds) {
-    return util::watts(400.0);
-  };
+  const power::PowerSteps source =
+      power::PowerSteps::constant(util::watts(400.0));
   EXPECT_FALSE(faulty.truncation_armed());
   faulty.arm_truncation(0.35);
   EXPECT_TRUE(faulty.truncation_armed());

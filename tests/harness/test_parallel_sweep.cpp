@@ -123,9 +123,8 @@ TEST(ParallelSweepDeterminism, WattsUpRunOffsetReplaysSharedMeterStreams) {
   power::WattsUpConfig base;
   base.seed = 99;
   power::WattsUpMeter shared(base);
-  const power::PowerSource source = [](util::Seconds) {
-    return util::watts(250.0);
-  };
+  const power::PowerSteps source =
+      power::PowerSteps::constant(util::watts(250.0));
   std::vector<double> shared_energy;
   for (int i = 0; i < 6; ++i) {
     shared_energy.push_back(

@@ -146,9 +146,8 @@ TEST(ValidatingMeter, RejectsDefectiveReadingsAndCounts) {
   power::WattsUpMeter inner(wcfg);
   FaultyMeter faulty(inner, FaultPlan(spec));
   ValidatingMeter validating(faulty, RobustConfig{});
-  const power::PowerSource source = [](util::Seconds) {
-    return util::watts(500.0);
-  };
+  const power::PowerSteps source =
+      power::PowerSteps::constant(util::watts(500.0));
   EXPECT_THROW(
       { (void)validating.measure(source, util::seconds(300.0)); },
       ReadingRejected);
@@ -188,7 +187,7 @@ TEST(RobustMeasurementsPerPoint, DerivesFromTheSuiteRosterNotAConstant) {
 class RejectOnceMeter final : public power::PowerMeter {
  public:
   explicit RejectOnceMeter(power::PowerMeter& inner) : inner_(inner) {}
-  [[nodiscard]] power::MeterReading measure(const power::PowerSource& source,
+  [[nodiscard]] power::MeterReading measure(const power::PowerSteps& source,
                                             util::Seconds duration) override {
     if (!rejected_) {
       rejected_ = true;

@@ -5,20 +5,26 @@
 
 #include <cmath>
 
+#include "support/step_signal.h"
 #include "util/error.h"
 
 namespace tgi::power {
 namespace {
 
-PowerSource constant_source(double watts) {
-  return [watts](util::Seconds) { return util::watts(watts); };
+PowerSteps constant_source(double watts) {
+  return PowerSteps::constant(util::watts(watts));
 }
 
-PowerSource ramp_source(double w0, double w1, double duration) {
-  return [=](util::Seconds t) {
-    const double frac = std::min(t.value() / duration, 1.0);
-    return util::watts(w0 + (w1 - w0) * frac);
-  };
+/// Linear ramp from w0 to w1 over `duration`, as seen by a meter sampling
+/// every `dt` seconds.
+test_support::StepSignal ramp_source(double w0, double w1,
+                                     double duration, double dt) {
+  return test_support::sampled_steps(
+      [=](double t) {
+        const double frac = std::min(t / duration, 1.0);
+        return w0 + (w1 - w0) * frac;
+      },
+      dt, duration);
 }
 
 TEST(ModelMeter, ExactOnConstantSource) {
@@ -33,7 +39,8 @@ TEST(ModelMeter, ExactOnConstantSource) {
 TEST(ModelMeter, RampIntegratesToMidpoint) {
   ModelMeter meter(util::seconds(0.01));
   const MeterReading r =
-      meter.measure(ramp_source(0.0, 100.0, 10.0), util::seconds(10.0));
+      meter.measure(ramp_source(0.0, 100.0, 10.0, 0.01).view(),
+                    util::seconds(10.0));
   EXPECT_NEAR(r.average_power.value(), 50.0, 0.01);
   EXPECT_NEAR(r.energy.value(), 500.0, 0.1);
 }
@@ -130,7 +137,8 @@ TEST(WattsUpMeter, DropoutBiasBoundedOnVaryingSource) {
   cfg.dropout_rate = 0.15;
   WattsUpMeter meter(cfg);
   const MeterReading r =
-      meter.measure(ramp_source(500.0, 1500.0, 300.0), util::seconds(300.0));
+      meter.measure(ramp_source(500.0, 1500.0, 300.0, 1.0).view(),
+                    util::seconds(300.0));
   // Linear ramp: bridging a gap is exact in expectation; allow 2%.
   EXPECT_NEAR(r.average_power.value(), 1000.0, 20.0);
 }

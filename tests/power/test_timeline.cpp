@@ -1,7 +1,9 @@
-// Utilization timelines: segment lookup and exact energy.
+// Utilization timelines: segment lookup, exact energy and the step view.
 #include "power/timeline.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "util/error.h"
 
@@ -62,15 +64,59 @@ TEST(PowerTimeline, ExactEnergyIsSegmentSum) {
   EXPECT_NEAR(timeline.exact_average_power().value(), expected / 10.0, 1e-9);
 }
 
-TEST(PowerTimeline, AsSourceMatchesPowerAt) {
+TEST(PowerTimeline, StepsMatchPowerAt) {
   const PowerTimeline timeline(
       simple_cluster(),
       {{util::seconds(2.0), ComponentUtilization{0.7, 0.3, 0.1, 0.0}, 2}});
-  const PowerSource source = timeline.as_source();
+  const PowerSteps steps = timeline.steps();
   for (double t : {0.0, 0.5, 1.9, 2.5}) {
-    EXPECT_DOUBLE_EQ(source(util::seconds(t)).value(),
+    EXPECT_DOUBLE_EQ(steps.at(util::seconds(t)).value(),
                      timeline.power_at(util::seconds(t)).value());
   }
+}
+
+TEST(PowerSteps, ConstantReadsItsLevelEverywhere) {
+  const PowerSteps steps = PowerSteps::constant(util::watts(42.5));
+  StepCursor cursor(steps);
+  for (double t : {0.0, 1.0, 1e9}) {
+    EXPECT_EQ(steps.at(util::seconds(t)).value(), 42.5);
+    EXPECT_EQ(cursor.at(util::seconds(t)).value(), 42.5);
+  }
+}
+
+TEST(StepCursor, MatchesBinarySearchOnNonDecreasingQueries) {
+  // Ends include a repeated value (a zero-width step, as float rounding of
+  // a prefix sum can produce); queries land before, on and between ends.
+  const std::vector<double> ends = {1.0, 2.5, 2.5, 4.0};
+  const std::vector<util::Watts> watts = {util::watts(10.0), util::watts(20.0),
+                                          util::watts(30.0),
+                                          util::watts(40.0)};
+  const PowerSteps steps{ends, watts, util::watts(5.0)};
+  StepCursor cursor(steps);
+  for (double t : {0.0, 0.5, 1.0, 1.0, 2.4, 2.5, 3.0, 4.0, 4.0, 7.0}) {
+    EXPECT_EQ(cursor.at(util::seconds(t)).value(),
+              steps.at(util::seconds(t)).value())
+        << "t = " << t;
+  }
+  EXPECT_EQ(steps.at(util::seconds(2.5)).value(), 40.0);
+  EXPECT_EQ(steps.at(util::seconds(4.0)).value(), 5.0);
+  // A view needs exactly one level per segment.
+  EXPECT_THROW(StepCursor(PowerSteps{ends, {}, util::watts(5.0)}),
+               util::PreconditionError);
+}
+
+TEST(PowerTimeline, StepsCarryOneLevelPerSegmentAndIdleAfter) {
+  const ComponentUtilization busy{1.0, 1.0, 1.0, 1.0};
+  const ClusterPowerModel model = simple_cluster();
+  const PowerTimeline timeline(model, {{util::seconds(2.0), busy, 1},
+                                       {util::seconds(3.0), busy, 2}});
+  const PowerSteps steps = timeline.steps();
+  ASSERT_EQ(steps.ends.size(), 2u);
+  ASSERT_EQ(steps.watts.size(), 2u);
+  EXPECT_EQ(steps.ends[1], 5.0);
+  EXPECT_EQ(steps.watts[0].value(), model.wall_power(busy, 1).value());
+  EXPECT_EQ(steps.watts[1].value(), model.wall_power(busy, 2).value());
+  EXPECT_EQ(steps.after_end.value(), model.idle_wall_power().value());
 }
 
 TEST(PowerTimeline, Validation) {

@@ -52,7 +52,7 @@ int run(int argc, const char* const* argv) {
     meter = std::make_unique<power::WattsUpMeter>();
   }
   const power::MeterReading reading =
-      meter->measure(run.timeline.as_source(), run.elapsed);
+      meter->measure(run.timeline.steps(), run.elapsed);
 
   std::cout << "workload '" << workload.benchmark << "' on "
             << cluster.name << " (" << cluster.total_cores()
